@@ -306,17 +306,34 @@ expectSameCoverage(const CoverageStats &a, const CoverageStats &b)
     }
 }
 
+/**
+ * Prefetch the first blocks the mcf stream touches straight into
+ * @p engine's hierarchy, as a caller injecting fills by hand would:
+ * the later demand hits on them and the evictions of the unused ones
+ * then run through the engine's prefetch classification.
+ */
+void
+injectFills(TraceEngine &engine)
+{
+    auto src = makeWorkload("mcf");
+    MemRef ref;
+    for (int i = 0; i < 64 && src->next(ref); i++)
+        engine.hierarchy().prefetch(ref.addr, invalidAddr);
+}
+
 /** Engine-level property: run() == manual next()+step() loop. */
 void
 checkTraceEngine(const std::string &pred_name,
                  const HierarchyConfig &hc = paperHierarchy(),
-                 std::uint64_t refs = 120'000)
+                 std::uint64_t refs = 120'000, bool inject_fills = false)
 {
     SCOPED_TRACE(pred_name);
 
     auto src_batch = makeWorkload("mcf");
     auto pred_batch = makePredictor(pred_name, hc);
     TraceEngine batched(hc, pred_batch.get());
+    if (inject_fills)
+        injectFills(batched);
     // Split the budget over several run() calls so batch remainders
     // and re-entry are covered too.
     std::uint64_t done = 0;
@@ -328,6 +345,8 @@ checkTraceEngine(const std::string &pred_name,
     auto src_scalar = makeWorkload("mcf");
     auto pred_scalar = makePredictor(pred_name, hc);
     TraceEngine scalar(hc, pred_scalar.get());
+    if (inject_fills)
+        injectFills(scalar);
     MemRef ref;
     for (std::uint64_t i = 0; i < refs; i++) {
         ASSERT_TRUE(src_scalar->next(ref));
@@ -335,6 +354,13 @@ checkTraceEngine(const std::string &pred_name,
     }
 
     expectSameCoverage(batched.stats(), scalar.stats());
+    if (inject_fills) {
+        // The injected blocks must be hit or evicted unused, or the
+        // row exercises nothing.
+        EXPECT_GT(scalar.stats().correct +
+                      scalar.stats().uselessPrefetches,
+                  0u);
+    }
     EXPECT_EQ(batched.hierarchy().accesses(),
               scalar.hierarchy().accesses());
     EXPECT_EQ(batched.hierarchy().l1Misses(),
@@ -391,6 +417,26 @@ TEST(BatchEquivalence, TraceEngineWritebackModelling)
     hc.modelWritebacks = true;
     checkTraceEngine("none", hc, 60'000);
     checkTraceEngine("lt-cords", hc, 60'000);
+}
+
+TEST(BatchEquivalence, TraceEnginePerfectL1)
+{
+    // Perfect L1 keeps predictor-less runs off the trimmed kernel;
+    // every access hits, with and without a predictor attached.
+    HierarchyConfig hc = paperHierarchy();
+    hc.perfectL1 = true;
+    for (const char *pred : {"none", "lt-cords", "ghb"})
+        checkTraceEngine(pred, hc, 60'000);
+}
+
+TEST(BatchEquivalence, TraceEngineHandInjectedFills)
+{
+    // Prefetch fills injected before run() leave prefetch state in
+    // the caches that the trimmed kernel does not track; the batched
+    // run must classify the hits and evictions on them as step() does.
+    for (const char *pred : {"none", "lt-cords", "ghb"})
+        checkTraceEngine(pred, paperHierarchy(), 60'000,
+                         /*inject_fills=*/true);
 }
 
 TEST(BatchEquivalence, TimingEngineMatchesScalar)

@@ -220,6 +220,19 @@ TEST(MultiProgEquivalence, WritebackModelling)
     checkSchedule("lt-cords", 4, schedule, hc);
 }
 
+TEST(MultiProgEquivalence, PerfectL1)
+{
+    // Perfect L1 keeps predictor-less schedules off the trimmed
+    // baseline path, like modelWritebacks above.
+    HierarchyConfig hc = paperHierarchy();
+    hc.perfectL1 = true;
+    const auto schedule =
+        makeSchedule(4, /*quantum=*/600, /*switches=*/17,
+                     /*churn_seed=*/0);
+    checkSchedule("none", 4, schedule, hc);
+    checkSchedule("lt-cords", 4, schedule, hc);
+}
+
 TEST(MultiProgEquivalence, OffDispatchGeometry)
 {
     // Associativities outside the static dispatch table take the
