@@ -78,12 +78,11 @@ perfReps()
 /**
  * One multi-tenant throughput cell: the Fig. 11 scheduling regime
  * (n tenants, ~4 rounds each, so quanta shrink as tenants multiply)
- * timed through both engine paths over the identical static
- * round-robin schedule — the batched TraceEngine::runSchedule loop
- * ("refs_per_sec") and the re-enter-run()-per-quantum reference loop
- * ("scalar_refs_per_sec", MultiProgConfig::scalarQuantums semantics).
- * The ratio is the hoisting win; at 1024 tenants each quantum is only
- * a few hundred references, the regime runSchedule exists for.
+ * timed two ways over the identical static round-robin schedule —
+ * one TraceEngine::runSchedule call ("refs_per_sec") and a loop that
+ * re-enters run() per quantum ("scalar_refs_per_sec", the loop below).
+ * The ratio is the cost of re-entering the kernel per quantum; at
+ * 1024 tenants each quantum is only a few hundred references.
  */
 void
 runMultiProgCell(std::uint32_t n, RunResult &r)

@@ -95,8 +95,9 @@ struct HierarchyConfig
      * level (L1 -> L2 via Cache::setDirty, L2 -> memory as Writeback
      * bus bytes). Off by default — the committed goldens predate the
      * dirty-bit fix, and the paper's Figure 12 decomposition counts
-     * fetch traffic only — and routed through the engines' scalar
-     * paths when on.
+     * fetch traffic only. When on, the engines run the full
+     * per-reference body, whose eviction listeners charge the
+     * writebacks.
      */
     bool modelWritebacks = false;
 };

@@ -18,24 +18,12 @@ interleavedPass(const MultiProgConfig &config, Prefetcher *pred,
     const auto n = static_cast<std::uint32_t>(apps.size());
     TraceEngine engine(config.hier, pred, n);
 
-    if (config.scalarQuantums) {
-        // The reference path: re-enter run() per quantum. Kept for
-        // benchmark comparison and as the oracle the equivalence
-        // suite diffs runSchedule against.
-        for (const TraceEngine::ScheduleQuantum &q : schedule) {
-            engine.selectBucket(q.tenant);
-            if (pred)
-                pred->selectTenant(q.tenant);
-            engine.run(*apps[q.tenant], q.refs);
-        }
-    } else {
-        std::vector<TraceEngine::TenantSlot> tenants(n);
-        for (std::uint32_t i = 0; i < n; i++) {
-            tenants[i].src = apps[i].get();
-            tenants[i].bucket = i;
-        }
-        engine.runSchedule(tenants, schedule);
+    std::vector<TraceEngine::TenantSlot> tenants(n);
+    for (std::uint32_t i = 0; i < n; i++) {
+        tenants[i].src = apps[i].get();
+        tenants[i].bucket = i;
     }
+    engine.runSchedule(tenants, schedule);
 
     std::vector<CoverageStats> stats;
     for (std::uint32_t i = 0; i < n; i++)

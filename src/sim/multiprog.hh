@@ -47,15 +47,6 @@ struct MultiProgConfig
      * `app = switch % n` loop).
      */
     std::uint64_t churnSeed = 0;
-    /**
-     * Drive both passes through the scalar per-quantum loop
-     * (selectBucket + selectTenant + run per quantum) instead of the
-     * batched TraceEngine::runSchedule. The two are pinned equivalent
-     * by the multiprog equivalence suite; the knob exists so
-     * benchmarks can measure the scalar path and tests can diff
-     * against it.
-     */
-    bool scalarQuantums = false;
 };
 
 /**

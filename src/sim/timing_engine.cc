@@ -325,7 +325,7 @@ TimingSim::purgeInflight(Cycle horizon)
 template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
           typename Policy>
 void
-TimingSim::stepImpl(const MemRef &ref, PredCursor &cur)
+TimingSim::stepImpl(const MemRef &ref, StepCounters &cur)
 {
     core_.issueNonMem(ref.nonMemGap);
     const Cycle issue = core_.beginMem();
@@ -439,10 +439,10 @@ TimingSim::stepImpl(const MemRef &ref, PredCursor &cur)
 void
 TimingSim::step(const MemRef &ref)
 {
-    PredCursor cur;
+    StepCounters cur;
     cur.lastLoad = lastLoadComplete_;
     stepImpl<0, 0, PolicyAuto>(ref, cur);
-    commitPred(cur);
+    commit(cur);
 }
 
 /**
@@ -452,113 +452,21 @@ TimingSim::step(const MemRef &ref)
  */
 constexpr std::size_t timingBatchRefs = 256;
 
-template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-          typename Policy>
+template <std::uint32_t L1Assoc, std::uint32_t L2Assoc, typename Policy,
+          bool Trimmed>
 std::uint64_t
-TimingSim::runBaselineLoop(TraceSource &src, std::uint64_t refs)
+TimingSim::runKernel(TraceSource &src, std::uint64_t refs)
 {
-    // See the declaration comment: step() with no predictor attached
-    // and no prefetch state in the hierarchy degenerates to the
-    // core/MSHR/bus event sequence below. Counters live in locals for
-    // the whole run (the caches' via BaselineCursor) and state is
-    // reconciled afterwards; the associativity template arguments let
-    // the compiler unroll the way scans for the common geometries.
+    // The trimmed body keeps the caches' counters in these cursors
+    // for the whole run; the full body leaves them unused.
     Cache &l1 = hier_.l1d();
     Cache &l2 = hier_.l2();
-    Cache::BaselineCursor c1 = l1.baselineCursor();
-    Cache::BaselineCursor c2 = l2.baselineCursor();
-    const Cycle l1_lat = config_.hier.l1d.latency;
-    std::uint64_t accesses = 0;
-    std::uint64_t l1_misses = 0;
-    std::uint64_t l2_misses = 0;
-    Cycle miss_latency = 0;
-    Cycle last_load = lastLoadComplete_;
-
-    std::uint64_t done = 0;
-    while (done < refs) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(refs - done, timingBatchRefs));
-        const std::size_t got = src.fill({batch_.data(), want});
-        for (std::size_t i = 0; i < got; i++) {
-            const MemRef &ref = batch_[i];
-            core_.issueNonMem(ref.nonMemGap);
-            const Cycle issue = core_.beginMem();
-            Cycle ready = issue;
-            if (ref.dependsOnPrev)
-                ready = std::max(ready, last_load);
-
-            Cycle complete;
-            if (l1.accessBaseline<L1Assoc, Policy>(ref.addr, ref.op,
-                                                   c1)) {
-                complete = ready + l1_lat;
-            } else {
-                l1_misses++;
-                const bool l2_hit = l2.accessBaseline<L2Assoc, Policy>(
-                    ref.addr, ref.op, c2);
-                if (!l2_hit)
-                    l2_misses++;
-                const Addr block = l1.blockAlign(ref.addr);
-                if (auto merged = mshrs_.lookup(block)) {
-                    mshrs_.noteMerge();
-                    complete = std::max(*merged, ready + l1_lat);
-                } else {
-                    const Cycle alloc = mshrs_.allocReadyAt(ready);
-                    complete = missCompletion(
-                        block, l2_hit ? HitLevel::L2 : HitLevel::Memory,
-                        alloc);
-                    mshrs_.allocate(block, alloc, complete);
-                }
-                miss_latency += complete - ready;
-            }
-
-            core_.completeMem(complete);
-            if (ref.isLoad())
-                last_load = complete;
-            mshrs_.retire(complete);
-        }
-        accesses += got;
-        done += got;
-        if (got < want)
-            break; // end of trace
-    }
-
-    l1.commitBaseline(c1);
-    l2.commitBaseline(c2);
-    hier_.noteBaselineBatch(accesses, l1_misses, l2_misses);
-    lastLoadComplete_ = last_load;
-    running_.accesses += accesses;
-    running_.l1Misses += l1_misses;
-    running_.l2Misses += l2_misses;
-    running_.missLatencyTotal += miss_latency;
-    running_.traffic.add(Traffic::BaseData,
-                         l2_misses * config_.hier.l1d.lineBytes);
-    return done;
-}
-
-std::uint64_t
-TimingSim::runBaseline(TraceSource &src, std::uint64_t refs)
-{
-    // Dispatch once per run to a way-scan-unrolled, policy-inlined
-    // instantiation for the geometries the experiments actually
-    // sweep; anything else takes the runtime loop (same semantics).
-    return dispatchHierarchyKernel(
-        hier_.l1d().config(), hier_.l2().config(),
-        [&](auto a1, auto a2, auto pol) {
-            return runBaselineLoop<a1(), a2(), decltype(pol)>(src,
-                                                              refs);
-        });
-}
-
-template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-          typename Policy>
-std::uint64_t
-TimingSim::runPredictedLoop(TraceSource &src, std::uint64_t refs)
-{
-    // Same per-reference events as step() (shared stepImpl), but the
-    // cursor counters live in registers for the whole run and the way
-    // scans are unrolled for the static associativities.
-    PredCursor cur;
+    [[maybe_unused]] Cache::BaselineCursor c1 = l1.baselineCursor();
+    [[maybe_unused]] Cache::BaselineCursor c2 = l2.baselineCursor();
+    [[maybe_unused]] const Cycle l1_lat = config_.hier.l1d.latency;
+    StepCounters cur;
     cur.lastLoad = lastLoadComplete_;
+
     std::uint64_t done = 0;
     while (done < refs) {
         // Clamp the pull to the caller's budget: a multi-programmed
@@ -566,25 +474,67 @@ TimingSim::runPredictedLoop(TraceSource &src, std::uint64_t refs)
         const std::size_t want = static_cast<std::size_t>(
             std::min<std::uint64_t>(refs - done, timingBatchRefs));
         const std::size_t got = src.fill({batch_.data(), want});
-        for (std::size_t i = 0; i < got; i++)
-            stepImpl<L1Assoc, L2Assoc, Policy>(batch_[i], cur);
+        for (std::size_t i = 0; i < got; i++) {
+            const MemRef &ref = batch_[i];
+            if constexpr (!Trimmed) {
+                stepImpl<L1Assoc, L2Assoc, Policy>(ref, cur);
+            } else {
+                // stepImpl() with no prefetch state anywhere: the
+                // core, MSHR and bus/DRAM events of a demand access.
+                core_.issueNonMem(ref.nonMemGap);
+                const Cycle issue = core_.beginMem();
+                Cycle ready = issue;
+                if (ref.dependsOnPrev)
+                    ready = std::max(ready, cur.lastLoad);
+                cur.accesses++;
+
+                Cycle complete;
+                if (l1.accessBaseline<L1Assoc, Policy>(ref.addr, ref.op,
+                                                       c1)) {
+                    complete = ready + l1_lat;
+                } else {
+                    cur.l1Misses++;
+                    const bool l2_hit =
+                        l2.accessBaseline<L2Assoc, Policy>(ref.addr,
+                                                           ref.op, c2);
+                    if (!l2_hit)
+                        cur.l2Misses++;
+                    const Addr block = l1.blockAlign(ref.addr);
+                    if (auto merged = mshrs_.lookup(block)) {
+                        mshrs_.noteMerge();
+                        complete = std::max(*merged, ready + l1_lat);
+                    } else {
+                        const Cycle alloc = mshrs_.allocReadyAt(ready);
+                        complete = missCompletion(
+                            block,
+                            l2_hit ? HitLevel::L2 : HitLevel::Memory,
+                            alloc);
+                        mshrs_.allocate(block, alloc, complete);
+                    }
+                    cur.missLatency += complete - ready;
+                }
+
+                core_.completeMem(complete);
+                if (ref.isLoad())
+                    cur.lastLoad = complete;
+                mshrs_.retire(complete);
+            }
+        }
         done += got;
         if (got < want)
             break; // end of trace
     }
-    commitPred(cur);
-    return done;
-}
 
-std::uint64_t
-TimingSim::runPredicted(TraceSource &src, std::uint64_t refs)
-{
-    return dispatchHierarchyKernel(
-        hier_.l1d().config(), hier_.l2().config(),
-        [&](auto a1, auto a2, auto pol) {
-            return runPredictedLoop<a1(), a2(), decltype(pol)>(src,
-                                                               refs);
-        });
+    if constexpr (Trimmed) {
+        l1.commitBaseline(c1);
+        l2.commitBaseline(c2);
+        hier_.noteBaselineBatch(cur.accesses, cur.l1Misses,
+                                cur.l2Misses);
+        running_.traffic.add(Traffic::BaseData,
+                             cur.l2Misses * config_.hier.l1d.lineBytes);
+    }
+    commit(cur);
+    return done;
 }
 
 std::uint64_t
@@ -593,22 +543,22 @@ TimingSim::run(TraceSource &src, std::uint64_t refs)
     if (batch_.size() < timingBatchRefs)
         batch_.resize(timingBatchRefs);
 
-    // Baseline runs take the trimmed kernel. The prefetchFills guard
-    // keeps it exact even if the caller injected prefetches by hand
-    // (then lines may carry prefetched/meta state the kernel skips);
-    // with no predictor the in-flight table and request queue are
-    // empty by construction. Writeback modelling needs the eviction
-    // listeners, which the trimmed kernel bypasses.
-    if (pred_ == nullptr && !config_.hier.perfectL1 &&
+    // The trimmed body only when nothing it skips can happen: no
+    // predictor (so the in-flight table and request queue stay
+    // empty), no perfect L1, no writeback charges (it bypasses the
+    // eviction listeners) and no prefetch state in either cache (a
+    // caller may inject fills by hand).
+    const bool trimmed = pred_ == nullptr && !config_.hier.perfectL1 &&
         !config_.hier.modelWritebacks &&
         hier_.l1d().prefetchFills() == 0 &&
-        hier_.l2().prefetchFills() == 0) {
-        const std::uint64_t done = runBaseline(src, refs);
-        maybeAudit();
-        return done;
-    }
-
-    const std::uint64_t done = runPredicted(src, refs);
+        hier_.l2().prefetchFills() == 0;
+    const std::uint64_t done = dispatchHierarchyKernel(
+        hier_.l1d().config(), hier_.l2().config(),
+        [&](auto a1, auto a2, auto pol) {
+            using P = decltype(pol);
+            return trimmed ? runKernel<a1(), a2(), P, true>(src, refs)
+                           : runKernel<a1(), a2(), P, false>(src, refs);
+        });
     maybeAudit();
     return done;
 }

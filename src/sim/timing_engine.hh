@@ -118,8 +118,9 @@ class TimingSim : public CacheListener
 
     /**
      * Run up to @p refs references, pulled in batches through
-     * TraceSource::fill() into a reusable buffer (the batched kernel;
-     * see TraceEngine::run). Never pulls more than @p refs records.
+     * TraceSource::fill() into a reusable buffer and stepped in a
+     * tight non-virtual loop (see TraceEngine::run). Never pulls more
+     * than @p refs records.
      */
     std::uint64_t run(TraceSource &src, std::uint64_t refs);
 
@@ -161,34 +162,12 @@ class TimingSim : public CacheListener
     }
 
     /**
-     * Trimmed kernel for predictor-less runs: same event sequence as
-     * step() — core issue/retire, MSHR allocate/merge/retire, bus and
-     * DRAM transfers — but with the prefetch machinery (in-flight
-     * table, request queue, metadata bits) compiled out and the
-     * TimingStats counters register-resident for the whole run. The
-     * per-reference work is then the core rings, the packed-tag way
-     * scans and the (usually no-op) MSHR retire compare.
+     * The TimingStats counters the per-reference path owns, kept in
+     * registers for a step() or a whole run() and folded back by
+     * commit(), so the inner loop carries no dependences through the
+     * engine's memory.
      */
-    std::uint64_t runBaseline(TraceSource &src, std::uint64_t refs);
-    /**
-     * runBaseline's loop, specialized per cache associativity and
-     * replacement policy (dispatchHierarchyKernel; the same contract
-     * for runPredictedLoop/stepImpl below).
-     */
-    template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-              typename Policy>
-    std::uint64_t runBaselineLoop(TraceSource &src,
-                                  std::uint64_t refs);
-
-    /**
-     * Register-resident counter state for the predicted kernel (the
-     * treatment runBaselineLoop gives baseline runs): the TimingStats
-     * counters the per-reference path increments live in this POD for
-     * a whole run, so the inner loop carries no loop-carried
-     * dependences through the engine's memory. step() commits one
-     * immediately; runPredictedLoop() commits at run end.
-     */
-    struct PredCursor
+    struct StepCounters
     {
         std::uint64_t accesses = 0;
         std::uint64_t l1Misses = 0;
@@ -200,19 +179,29 @@ class TimingSim : public CacheListener
     };
 
     /**
-     * The full per-reference event sequence — shared verbatim by the
-     * scalar step() (instantiated with runtime associativity and
-     * PolicyAuto) and the batched runPredictedLoop() (static
-     * associativity and policy), so the two paths cannot diverge; the
-     * timing-equivalence suite pins it.
+     * The full per-reference event sequence, shared by step()
+     * (runtime associativity, PolicyAuto) and runKernel()'s full body
+     * (static associativity and policy from dispatchHierarchyKernel),
+     * so the two cannot diverge; the timing-equivalence suite pins it.
      */
     template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
               typename Policy>
-    void stepImpl(const MemRef &ref, PredCursor &cur);
+    void stepImpl(const MemRef &ref, StepCounters &cur);
 
-    /** Fold a cursor back into the running statistics. */
+    /**
+     * The engine's one pull loop. Its body is stepImpl(), or with
+     * @p Trimmed the predictor-less body: the same core issue/retire,
+     * MSHR and bus/DRAM events with the prefetch machinery (in-flight
+     * table, request queue, metadata bits) compiled out and the
+     * caches' counters in BaselineCursors for the whole run.
+     */
+    template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
+              typename Policy, bool Trimmed>
+    std::uint64_t runKernel(TraceSource &src, std::uint64_t refs);
+
+    /** Fold @p cur back into the running statistics. */
     void
-    commitPred(const PredCursor &cur)
+    commit(const StepCounters &cur)
     {
         running_.accesses += cur.accesses;
         running_.l1Misses += cur.l1Misses;
@@ -222,14 +211,6 @@ class TimingSim : public CacheListener
         running_.missLatencyTotal += cur.missLatency;
         lastLoadComplete_ = cur.lastLoad;
     }
-
-    /** Batched predictor-run kernel (see PredCursor). */
-    std::uint64_t runPredicted(TraceSource &src, std::uint64_t refs);
-    /** runPredicted's loop, specialized per assoc and policy. */
-    template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-              typename Policy>
-    std::uint64_t runPredictedLoop(TraceSource &src,
-                                   std::uint64_t refs);
 
     /** Queue one feedback event for the next flushFeedback(). */
     void

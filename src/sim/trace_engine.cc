@@ -8,11 +8,11 @@ namespace ltc
 {
 
 /**
- * How many references run() pulls per fill() call. Large enough to
- * amortize the per-batch virtual hop to nothing, small enough that
- * the buffer stays L1-resident (256 records = 6KB): the batch is
- * written by the generator and immediately re-read by the engine, so
- * spilling it to L2 costs more than the dispatch it saves.
+ * How many references runKernel() pulls per fill() call. Large
+ * enough to amortize the per-batch virtual hop to nothing, small
+ * enough that the buffer stays L1-resident (256 records = 6KB): the
+ * batch is written by the generator and immediately re-read by the
+ * engine, so spilling it to L2 costs more than the dispatch it saves.
  */
 constexpr std::size_t engineBatchRefs = 256;
 
@@ -224,46 +224,61 @@ TraceEngine::drainPredictor()
 }
 
 void
-TraceEngine::step(const MemRef &ref)
+TraceEngine::commit(std::uint32_t bucket, StepCounters n)
 {
-    CoverageStats &s = buckets_[current_];
-    s.accesses++;
-    s.instructions += 1 + ref.nonMemGap;
+    CoverageStats &s = buckets_[bucket];
+    s.accesses += n.accesses;
+    s.instructions += n.instructions;
+    s.l1Misses += n.l1Misses;
+    s.l2Misses += n.l2Misses;
+    s.correct += n.correct;
+    s.early += n.early;
+    s.traffic.add(Traffic::BaseData, n.baseBytes);
+}
 
-    const HierOutcome out = hier_.access(ref.addr, ref.op);
+// LTC_HOT_BEGIN: tools/ltc_lint.py bans hash maps, the modulo
+// operator and virtual declarations between these markers.
+
+template <std::uint32_t L1Assoc, std::uint32_t L2Assoc, typename Policy>
+void
+TraceEngine::stepImpl(const MemRef &ref, StepCounters &n)
+{
+    n.accesses++;
+    n.instructions += 1 + ref.nonMemGap;
+
+    const HierOutcome out =
+        hier_.access<L1Assoc, L2Assoc, Policy>(ref.addr, ref.op);
     const Addr block = hier_.l1d().blockAlign(ref.addr);
+    const std::uint32_t line_bytes = hierConfig_.l1d.lineBytes;
 
     if (out.l1Hit()) {
         if (out.l1HitOnPrefetch) {
             // A miss eliminated by the predictor.
-            s.correct++;
+            n.correct++;
             // Charge the block transfer the demand fetch would have
             // performed anyway. The access consumed the L1 line's
             // classification entry; fall back to an L2-side entry.
             std::uint8_t meta = out.l1Meta;
             if (!(meta & LineMetaFetched))
                 meta = hier_.l2().takeMeta(block);
-            if ((meta & LineMetaFetched) && (meta & LineMetaOffChip)) {
-                s.traffic.add(Traffic::BaseData,
-                              hierConfig_.l1d.lineBytes);
-            }
+            if ((meta & LineMetaFetched) && (meta & LineMetaOffChip))
+                n.baseBytes += line_bytes;
             if (pred_)
                 bufferFeedback(ref.addr, false);
         }
     } else {
-        s.l1Misses++;
+        n.l1Misses++;
         if (hier_.l1d().clearEvictedMark(block))
-            s.early++;
+            n.early++;
         if (out.level == HitLevel::Memory) {
-            s.l2Misses++;
-            s.traffic.add(Traffic::BaseData, hierConfig_.l1d.lineBytes);
+            n.l2Misses++;
+            n.baseBytes += line_bytes;
         } else if (out.l2HitOnPrefetch) {
             // L2 prefetch (GHB-style) turned an off-chip miss into an
             // L2 hit: account its off-chip transfer as base data.
             if ((out.l2Meta & LineMetaFetched) &&
                 (out.l2Meta & LineMetaOffChip)) {
-                s.traffic.add(Traffic::BaseData,
-                              hierConfig_.l1d.lineBytes);
+                n.baseBytes += line_bytes;
             }
             if (pred_)
                 bufferFeedback(ref.addr, false);
@@ -279,365 +294,112 @@ TraceEngine::step(const MemRef &ref)
     }
 }
 
-template <std::uint32_t L1Assoc, std::uint32_t L2Assoc, typename Policy>
+template <std::uint32_t L1Assoc, std::uint32_t L2Assoc, typename Policy,
+          bool Trimmed>
 std::uint64_t
-TraceEngine::runBaselineLoop(TraceSource &src, std::uint64_t refs)
+TraceEngine::runKernel(std::span<const TenantSlot> tenants,
+                       std::span<const ScheduleQuantum> schedule,
+                       bool select_tenants)
 {
-    // The predictor-less kernel: with no predictor attached (and no
-    // prefetch state in the hierarchy — guarded by run()), step()
-    // degenerates to counting hits and misses. All counters — the
-    // engine's, the caches' (via BaselineCursor) and the
-    // hierarchy's — live in locals for the whole run, so the inner
-    // loop is loads, compares and register increments only; state is
-    // reconciled afterwards. The associativity template arguments let
-    // the compiler unroll the way scans for the common geometries.
-    CoverageStats &s = buckets_[current_];
+    // The trimmed body keeps the caches' counters in these cursors
+    // for the whole schedule; the full body leaves them unused.
     Cache &l1 = hier_.l1d();
     Cache &l2 = hier_.l2();
-    Cache::BaselineCursor c1 = l1.baselineCursor();
-    Cache::BaselineCursor c2 = l2.baselineCursor();
-    std::uint64_t accesses = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t l1_misses = 0;
-    std::uint64_t l2_misses = 0;
-
-    std::uint64_t done = 0;
-    while (done < refs) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(refs - done, engineBatchRefs));
-        const std::size_t got = src.fill({batch_.data(), want});
-        for (std::size_t i = 0; i < got; i++) {
-            const MemRef &ref = batch_[i];
-            instructions += 1 + ref.nonMemGap;
-            if (!l1.accessBaseline<L1Assoc, Policy>(ref.addr, ref.op,
-                                                    c1)) {
-                l1_misses++;
-                if (!l2.accessBaseline<L2Assoc, Policy>(ref.addr,
-                                                        ref.op, c2))
-                    l2_misses++;
-            }
-        }
-        accesses += got;
-        done += got;
-        if (got < want)
-            break; // end of trace
-    }
-
-    l1.commitBaseline(c1);
-    l2.commitBaseline(c2);
-    hier_.noteBaselineBatch(accesses, l1_misses, l2_misses);
-    s.accesses += accesses;
-    s.instructions += instructions;
-    s.l1Misses += l1_misses;
-    s.l2Misses += l2_misses;
-    s.traffic.add(Traffic::BaseData,
-                  l2_misses * hierConfig_.l1d.lineBytes);
-    return done;
-}
-
-std::uint64_t
-TraceEngine::runBaseline(TraceSource &src, std::uint64_t refs)
-{
-    // Dispatch once per run to a way-scan-unrolled, policy-
-    // devirtualized instantiation for the geometries the experiments
-    // actually sweep; anything else takes the runtime loop (same
-    // semantics).
-    return dispatchHierarchyKernel(
-        hier_.l1d().config(), hier_.l2().config(),
-        [&](auto a1, auto a2, auto pol) {
-            return runBaselineLoop<a1(), a2(), decltype(pol)>(src,
-                                                              refs);
-        });
-}
-
-template <std::uint32_t L1Assoc, std::uint32_t L2Assoc, typename Policy>
-std::uint64_t
-TraceEngine::runPredictedLoop(TraceSource &src, std::uint64_t refs)
-{
-    // See the declaration comment. The loop-owned counters below are
-    // disjoint from everything the eviction listeners and
-    // drainPredictor() write into the bucket (uselessPrefetches,
-    // early-eviction marks are cleared here but *counted* here too,
-    // IncorrectPrefetch/Sequence* traffic), so accumulating them in
-    // locals and reconciling once cannot reorder any observable
-    // event: predictors still see every reference and drain at the
-    // exact same points as step().
-    Cache &l1 = hier_.l1d();
-    const std::uint32_t line_bytes = hierConfig_.l1d.lineBytes;
-    std::uint64_t accesses = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t l1_misses = 0;
-    std::uint64_t l2_misses = 0;
-    std::uint64_t correct = 0;
-    std::uint64_t early = 0;
-    std::uint64_t base_bytes = 0;
-
-    std::uint64_t done = 0;
-    while (done < refs) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(refs - done, engineBatchRefs));
-        const std::size_t got = src.fill({batch_.data(), want});
-        for (std::size_t i = 0; i < got; i++) {
-            const MemRef &ref = batch_[i];
-            instructions += 1 + ref.nonMemGap;
-
-            const HierOutcome out =
-                hier_.access<L1Assoc, L2Assoc, Policy>(ref.addr,
-                                                       ref.op);
-            const Addr block = l1.blockAlign(ref.addr);
-
-            if (out.l1Hit()) {
-                if (out.l1HitOnPrefetch) {
-                    // A miss eliminated by the predictor; charge the
-                    // block transfer the demand fetch would have
-                    // performed anyway (see step()).
-                    correct++;
-                    std::uint8_t meta = out.l1Meta;
-                    if (!(meta & LineMetaFetched))
-                        meta = hier_.l2().takeMeta(block);
-                    if ((meta & LineMetaFetched) &&
-                        (meta & LineMetaOffChip)) {
-                        base_bytes += line_bytes;
-                    }
-                    bufferFeedback(ref.addr, false);
-                }
-            } else {
-                l1_misses++;
-                if (l1.clearEvictedMark(block))
-                    early++;
-                if (out.level == HitLevel::Memory) {
-                    l2_misses++;
-                    base_bytes += line_bytes;
-                } else if (out.l2HitOnPrefetch) {
-                    if ((out.l2Meta & LineMetaFetched) &&
-                        (out.l2Meta & LineMetaOffChip)) {
-                        base_bytes += line_bytes;
-                    }
-                    bufferFeedback(ref.addr, false);
-                }
-            }
-
-            // Same two flush points as step(): access-time events
-            // before observe(), issue-time events in drainPredictor().
-            flushFeedback();
-            pred_->observe(ref, out);
-            drainPredictor();
-        }
-        accesses += got;
-        done += got;
-        if (got < want)
-            break; // end of trace
-    }
-
-    CoverageStats &s = buckets_[current_];
-    s.accesses += accesses;
-    s.instructions += instructions;
-    s.l1Misses += l1_misses;
-    s.l2Misses += l2_misses;
-    s.correct += correct;
-    s.early += early;
-    s.traffic.add(Traffic::BaseData, base_bytes);
-    return done;
-}
-
-std::uint64_t
-TraceEngine::runPredicted(TraceSource &src, std::uint64_t refs)
-{
-    return dispatchHierarchyKernel(
-        hier_.l1d().config(), hier_.l2().config(),
-        [&](auto a1, auto a2, auto pol) {
-            return runPredictedLoop<a1(), a2(), decltype(pol)>(src,
-                                                               refs);
-        });
-}
-
-// ------------------------------------------------- multi-tenant hot path
-//
-// The runSchedule kernels below process every quantum of a
-// multi-programmed schedule without re-entering run(): associativity
-// dispatch and baseline cursors live outside the quantum loop, and
-// each quantum's loop-owned counters reconcile into its tenant's
-// bucket exactly once. The per-reference bodies are copies of
-// runBaselineLoop/runPredictedLoop — the multiprog equivalence suite
-// pins them against the scalar quantum loop.
-//
-// LTC_HOT_BEGIN: tools/ltc_lint.py bans hash maps, the modulo
-// operator and virtual declarations between these markers.
-
-template <std::uint32_t L1Assoc, std::uint32_t L2Assoc, typename Policy>
-std::uint64_t
-TraceEngine::runScheduleBaselineLoop(
-    std::span<const ScheduleQuantum> schedule)
-{
-    Cache &l1 = hier_.l1d();
-    Cache &l2 = hier_.l2();
-    Cache::BaselineCursor c1 = l1.baselineCursor();
-    Cache::BaselineCursor c2 = l2.baselineCursor();
-    const std::uint32_t line_bytes = hierConfig_.l1d.lineBytes;
-    std::uint64_t total_accesses = 0;
-    std::uint64_t total_l1 = 0;
-    std::uint64_t total_l2 = 0;
+    [[maybe_unused]] Cache::BaselineCursor c1 = l1.baselineCursor();
+    [[maybe_unused]] Cache::BaselineCursor c2 = l2.baselineCursor();
+    [[maybe_unused]] const std::uint32_t line_bytes =
+        hierConfig_.l1d.lineBytes;
+    MemRef *buf = batch_.data();
     std::uint64_t done = 0;
 
     for (const ScheduleQuantum &q : schedule) {
-        MultiTenantCursor &t = cursors_[q.tenant];
+        const TenantSlot &t = tenants[q.tenant];
         current_ = t.bucket;
-        // All tenants share the one hot pull buffer: each refill is
-        // capped at the quantum's remaining refs, so the buffer
-        // drains before the next tenant touches it (per-tenant
-        // read-ahead slices would go cold between a tenant's quanta
-        // and double the memory traffic per record).
-        MemRef *buf = batch_.data();
-        std::uint64_t accesses = 0;
-        std::uint64_t instructions = 0;
-        std::uint64_t l1_misses = 0;
-        std::uint64_t l2_misses = 0;
+        if (select_tenants && pred_)
+            pred_->selectTenant(q.tenant);
+        StepCounters n;
         std::uint64_t remaining = q.refs;
         while (remaining) {
-            if (t.pos == t.fill) {
-                const std::size_t want =
-                    std::min<std::uint64_t>(engineBatchRefs,
-                                            remaining);
-                const std::size_t got = t.src->fill({buf, want});
-                t.pos = 0;
-                t.fill = static_cast<std::uint32_t>(got);
-                if (got == 0)
-                    break; // end of this tenant's trace
-            }
-            const std::uint32_t chunk = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(remaining, t.fill - t.pos));
-            const std::uint32_t end = t.pos + chunk;
-            for (std::uint32_t i = t.pos; i < end; i++) {
+            const std::size_t want = static_cast<std::size_t>(
+                std::min<std::uint64_t>(remaining, engineBatchRefs));
+            const std::size_t got = t.src->fill({buf, want});
+            for (std::size_t i = 0; i < got; i++) {
                 const MemRef &ref = buf[i];
-                instructions += 1 + ref.nonMemGap;
-                if (!l1.accessBaseline<L1Assoc, Policy>(ref.addr,
-                                                        ref.op, c1)) {
-                    l1_misses++;
-                    if (!l2.accessBaseline<L2Assoc, Policy>(
-                            ref.addr, ref.op, c2))
-                        l2_misses++;
-                }
-            }
-            t.pos = end;
-            accesses += chunk;
-            remaining -= chunk;
-        }
-        CoverageStats &s = buckets_[t.bucket];
-        s.accesses += accesses;
-        s.instructions += instructions;
-        s.l1Misses += l1_misses;
-        s.l2Misses += l2_misses;
-        s.traffic.add(Traffic::BaseData, l2_misses * line_bytes);
-        total_accesses += accesses;
-        total_l1 += l1_misses;
-        total_l2 += l2_misses;
-        done += accesses;
-    }
-
-    l1.commitBaseline(c1);
-    l2.commitBaseline(c2);
-    hier_.noteBaselineBatch(total_accesses, total_l1, total_l2);
-    return done;
-}
-
-template <std::uint32_t L1Assoc, std::uint32_t L2Assoc, typename Policy>
-std::uint64_t
-TraceEngine::runSchedulePredictedLoop(
-    std::span<const ScheduleQuantum> schedule)
-{
-    Cache &l1 = hier_.l1d();
-    const std::uint32_t line_bytes = hierConfig_.l1d.lineBytes;
-    std::uint64_t done = 0;
-
-    for (const ScheduleQuantum &q : schedule) {
-        MultiTenantCursor &t = cursors_[q.tenant];
-        current_ = t.bucket;
-        pred_->selectTenant(q.tenant);
-        MemRef *buf = batch_.data(); // shared hot buffer, see above
-        std::uint64_t accesses = 0;
-        std::uint64_t instructions = 0;
-        std::uint64_t l1_misses = 0;
-        std::uint64_t l2_misses = 0;
-        std::uint64_t correct = 0;
-        std::uint64_t early = 0;
-        std::uint64_t base_bytes = 0;
-        std::uint64_t remaining = q.refs;
-        while (remaining) {
-            if (t.pos == t.fill) {
-                const std::size_t want =
-                    std::min<std::uint64_t>(engineBatchRefs,
-                                            remaining);
-                const std::size_t got = t.src->fill({buf, want});
-                t.pos = 0;
-                t.fill = static_cast<std::uint32_t>(got);
-                if (got == 0)
-                    break; // end of this tenant's trace
-            }
-            const std::uint32_t chunk = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(remaining, t.fill - t.pos));
-            const std::uint32_t end = t.pos + chunk;
-            for (std::uint32_t i = t.pos; i < end; i++) {
-                const MemRef &ref = buf[i];
-                instructions += 1 + ref.nonMemGap;
-
-                const HierOutcome out =
-                    hier_.access<L1Assoc, L2Assoc, Policy>(ref.addr,
-                                                           ref.op);
-                const Addr block = l1.blockAlign(ref.addr);
-
-                if (out.l1Hit()) {
-                    if (out.l1HitOnPrefetch) {
-                        correct++;
-                        std::uint8_t meta = out.l1Meta;
-                        if (!(meta & LineMetaFetched))
-                            meta = hier_.l2().takeMeta(block);
-                        if ((meta & LineMetaFetched) &&
-                            (meta & LineMetaOffChip)) {
-                            base_bytes += line_bytes;
+                if constexpr (Trimmed) {
+                    // step() with no prefetch state anywhere: count
+                    // hits and misses, nothing else can happen.
+                    n.accesses++;
+                    n.instructions += 1 + ref.nonMemGap;
+                    if (!l1.accessBaseline<L1Assoc, Policy>(
+                            ref.addr, ref.op, c1)) {
+                        n.l1Misses++;
+                        if (!l2.accessBaseline<L2Assoc, Policy>(
+                                ref.addr, ref.op, c2)) {
+                            n.l2Misses++;
+                            n.baseBytes += line_bytes;
                         }
-                        bufferFeedback(ref.addr, false);
                     }
                 } else {
-                    l1_misses++;
-                    if (l1.clearEvictedMark(block))
-                        early++;
-                    if (out.level == HitLevel::Memory) {
-                        l2_misses++;
-                        base_bytes += line_bytes;
-                    } else if (out.l2HitOnPrefetch) {
-                        if ((out.l2Meta & LineMetaFetched) &&
-                            (out.l2Meta & LineMetaOffChip)) {
-                            base_bytes += line_bytes;
-                        }
-                        bufferFeedback(ref.addr, false);
-                    }
+                    stepImpl<L1Assoc, L2Assoc, Policy>(ref, n);
                 }
-
-                // Same two flush points as step(): access-time events
-                // before observe(), issue-time events in
-                // drainPredictor().
-                flushFeedback();
-                pred_->observe(ref, out);
-                drainPredictor();
             }
-            t.pos = end;
-            accesses += chunk;
-            remaining -= chunk;
+            remaining -= got;
+            if (got < want)
+                break; // end of this tenant's trace
         }
-        CoverageStats &s = buckets_[t.bucket];
-        s.accesses += accesses;
-        s.instructions += instructions;
-        s.l1Misses += l1_misses;
-        s.l2Misses += l2_misses;
-        s.correct += correct;
-        s.early += early;
-        s.traffic.add(Traffic::BaseData, base_bytes);
-        done += accesses;
+        commit(t.bucket, n);
+        if constexpr (Trimmed)
+            hier_.noteBaselineBatch(n.accesses, n.l1Misses, n.l2Misses);
+        done += n.accesses;
+    }
+
+    if constexpr (Trimmed) {
+        l1.commitBaseline(c1);
+        l2.commitBaseline(c2);
     }
     return done;
 }
 
 // LTC_HOT_END
+
+void
+TraceEngine::step(const MemRef &ref)
+{
+    StepCounters n;
+    stepImpl<0, 0, PolicyAuto>(ref, n);
+    commit(current_, n);
+}
+
+std::uint64_t
+TraceEngine::runQuanta(std::span<const TenantSlot> tenants,
+                       std::span<const ScheduleQuantum> schedule,
+                       bool select_tenants)
+{
+    if (batch_.size() < engineBatchRefs)
+        batch_.resize(engineBatchRefs);
+
+    // The trimmed body only when nothing it skips can happen: no
+    // predictor, no perfect L1, no writeback charges (it bypasses the
+    // eviction listeners) and no prefetch state in either cache (a
+    // caller may inject fills by hand). Everything else, predictor or
+    // not, takes the full body.
+    const bool trimmed = pred_ == nullptr && !hierConfig_.perfectL1 &&
+        !hierConfig_.modelWritebacks &&
+        hier_.l1d().prefetchFills() == 0 &&
+        hier_.l2().prefetchFills() == 0;
+    const std::uint64_t done = dispatchHierarchyKernel(
+        hier_.l1d().config(), hier_.l2().config(),
+        [&](auto a1, auto a2, auto pol) {
+            using P = decltype(pol);
+            return trimmed
+                ? runKernel<a1(), a2(), P, true>(tenants, schedule,
+                                                 select_tenants)
+                : runKernel<a1(), a2(), P, false>(tenants, schedule,
+                                                  select_tenants);
+        });
+    maybeAudit();
+    return done;
+}
 
 std::uint64_t
 TraceEngine::runSchedule(std::span<TenantSlot> tenants,
@@ -652,98 +414,15 @@ TraceEngine::runSchedule(std::span<TenantSlot> tenants,
     for (const ScheduleQuantum &q : schedule)
         ltc_assert(q.tenant < tenants.size(), "quantum names tenant ",
                    q.tenant, " of ", tenants.size());
-
-    // Per-tenant cursors are rebuilt each call; the shared pull
-    // buffer is the same one run() uses.
-    cursors_.assign(tenants.size(), MultiTenantCursor{});
-    for (std::size_t t = 0; t < tenants.size(); t++) {
-        cursors_[t].src = tenants[t].src;
-        cursors_[t].bucket = tenants[t].bucket;
-    }
-    if (batch_.size() < engineBatchRefs)
-        batch_.resize(engineBatchRefs);
-
-    // Mirror run()'s kernel guard: the trimmed baseline kernel only
-    // when no prefetch state can exist and writebacks are unmodeled
-    // (the kernel bypasses the eviction listeners that charge them),
-    // the predictor kernel whenever a predictor is attached, the
-    // exact scalar path otherwise (perfect L1, hand-injected fills,
-    // predictor-less writeback runs).
-    std::uint64_t done = 0;
-    if (pred_ == nullptr && !hierConfig_.perfectL1 &&
-        !hierConfig_.modelWritebacks &&
-        hier_.l1d().prefetchFills() == 0 &&
-        hier_.l2().prefetchFills() == 0) {
-        done = dispatchHierarchyKernel(
-            hier_.l1d().config(), hier_.l2().config(),
-            [&](auto a1, auto a2, auto pol) {
-                return runScheduleBaselineLoop<a1(), a2(),
-                                               decltype(pol)>(schedule);
-            });
-    } else if (pred_ != nullptr) {
-        done = dispatchHierarchyKernel(
-            hier_.l1d().config(), hier_.l2().config(),
-            [&](auto a1, auto a2, auto pol) {
-                return runSchedulePredictedLoop<a1(), a2(),
-                                                decltype(pol)>(
-                    schedule);
-            });
-    } else {
-        for (const ScheduleQuantum &q : schedule) {
-            selectBucket(tenants[q.tenant].bucket);
-            done += run(*tenants[q.tenant].src, q.refs);
-        }
-        return done; // run() audited per quantum already
-    }
-    maybeAudit();
-    return done;
+    return runQuanta(tenants, schedule, /*select_tenants=*/true);
 }
 
 std::uint64_t
 TraceEngine::run(TraceSource &src, std::uint64_t refs)
 {
-    if (batch_.size() < engineBatchRefs)
-        batch_.resize(engineBatchRefs);
-
-    // Baseline runs take the trimmed kernel. The prefetchFills guard
-    // keeps it exact even if the caller injected prefetches by hand
-    // (then lines may carry prefetched/meta state the kernel skips);
-    // the modelWritebacks guard keeps dirty evictions flowing through
-    // the listeners that charge them (scalar path below).
-    if (pred_ == nullptr && !hierConfig_.perfectL1 &&
-        !hierConfig_.modelWritebacks &&
-        hier_.l1d().prefetchFills() == 0 &&
-        hier_.l2().prefetchFills() == 0) {
-        const std::uint64_t done = runBaseline(src, refs);
-        maybeAudit();
-        return done;
-    }
-
-    // Predictor runs take the register-resident batched kernel.
-    // (Fills are clamped to the caller's budget inside both kernels:
-    // a multi-programmed quantum must not consume records its next
-    // quantum replays.)
-    if (pred_ != nullptr) {
-        const std::uint64_t done = runPredicted(src, refs);
-        maybeAudit();
-        return done;
-    }
-
-    // Predictor-less but with prefetch state present (hand-injected
-    // fills, perfect L1): the exact scalar path.
-    std::uint64_t done = 0;
-    while (done < refs) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(refs - done, engineBatchRefs));
-        const std::size_t got = src.fill({batch_.data(), want});
-        for (std::size_t i = 0; i < got; i++)
-            step(batch_[i]);
-        done += got;
-        if (got < want)
-            break; // end of trace
-    }
-    maybeAudit();
-    return done;
+    const TenantSlot slot{&src, current_};
+    const ScheduleQuantum quantum{0, refs};
+    return runQuanta({&slot, 1}, {&quantum, 1}, /*select_tenants=*/false);
 }
 
 void

@@ -117,18 +117,19 @@ class TraceEngine : public CacheListener
     /** Route subsequent events to bucket @p bucket. */
     void selectBucket(std::uint32_t bucket);
 
-    /** Process one reference. */
+    /** Process one reference (the scalar form of run()). */
     void step(const MemRef &ref);
 
     /**
-     * Process up to @p refs references from @p src.
+     * Process up to @p refs references from @p src into the current
+     * bucket: a one-quantum runSchedule() over a single tenant that
+     * leaves the predictor's tenant selection alone. References are
+     * pulled through TraceSource::fill() into a reusable buffer and
+     * stepped in a tight non-virtual loop, so the per-reference cost
+     * is the cache model itself. Never pulls more than @p refs
+     * records (quantum interleavings replay exactly).
      *
-     * The batched kernel: references are pulled through
-     * TraceSource::fill() into a reusable buffer and stepped in a
-     * tight non-virtual inner loop, so the per-reference cost is the
-     * cache model itself — no virtual dispatch, no hash probes, no
-     * allocation. Never pulls more than @p refs records (quantum
-     * interleavings replay exactly).
+     * @return References actually consumed (short on trace end).
      */
     std::uint64_t run(TraceSource &src, std::uint64_t refs);
 
@@ -149,9 +150,8 @@ class TraceEngine : public CacheListener
     };
 
     /**
-     * Process a whole multi-programmed schedule in one call.
-     *
-     * Semantically identical to the scalar quantum loop
+     * Process a whole multi-programmed schedule in one call, with the
+     * result of the per-quantum loop
      *
      *     for (q : schedule) {
      *         selectBucket(tenants[q.tenant].bucket);
@@ -159,16 +159,13 @@ class TraceEngine : public CacheListener
      *         run(*tenants[q.tenant].src, q.refs);
      *     }
      *
-     * (the multiprog equivalence suite pins this), but the
-     * associativity dispatch and the baseline cursors are hoisted
-     * outside the quantum loop: one dispatch and one cursor commit
-     * per schedule instead of one per quantum. All tenants pull
-     * through the one shared batch buffer — each refill is capped at
-     * the quantum's remaining references, so the buffer drains within
-     * the quantum and stays hot in the host cache across tenant
-     * switches (a per-tenant read-ahead slice would go cold between a
-     * tenant's quanta at Fig. 11 scale — 1024 tenants, a few hundred
-     * references per quantum — and be re-read from memory).
+     * but with one kernel dispatch for the whole schedule. All
+     * tenants pull through the one shared batch buffer, each pull
+     * capped at the quantum's remaining references, so the buffer
+     * drains within a quantum and stays hot in the host cache across
+     * tenant switches (per-tenant read-ahead slices would go cold
+     * between a tenant's quanta at Fig. 11 scale). Leaves the last
+     * quantum's tenant bucket selected.
      *
      * @return References actually consumed (short on trace ends).
      */
@@ -239,58 +236,59 @@ class TraceEngine : public CacheListener
         pred_->feedbackBatch(fbBuf_.data(), fbBuf_.size());
         fbBuf_.clear();
     }
-    /** Trimmed kernel for predictor-less runs (see run()). */
-    std::uint64_t runBaseline(TraceSource &src, std::uint64_t refs);
-    /**
-     * runBaseline's loop, specialized per cache associativity and
-     * replacement policy (dispatchHierarchyKernel; the same contract
-     * for every batched kernel below).
-     */
-    template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-              typename Policy>
-    std::uint64_t runBaselineLoop(TraceSource &src,
-                                  std::uint64_t refs);
-    /**
-     * Batched kernel for predictor runs: the same event sequence as
-     * step()+drainPredictor(), but the loop-owned CoverageStats
-     * counters stay register-resident between predictor drains and
-     * are reconciled into the bucket once per run — the bucket only
-     * sees the callback-owned counters (useless prefetches, incorrect
-     * traffic, sequence bytes) while the loop is hot. The
-     * associativity template arguments unroll the way scans as in
-     * runBaselineLoop.
-     */
-    std::uint64_t runPredicted(TraceSource &src, std::uint64_t refs);
-    /** runPredicted's loop, specialized per assoc and policy. */
-    template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-              typename Policy>
-    std::uint64_t runPredictedLoop(TraceSource &src,
-                                   std::uint64_t refs);
 
     /**
-     * Per-tenant pull state for runSchedule. pos/fill index the
-     * shared batch_ buffer within a quantum; refills are capped at
-     * the quantum's remaining references, so they are always equal
-     * (buffer drained) at quantum boundaries. Rebuilt per
-     * runSchedule call.
+     * The CoverageStats counters the per-reference path owns, kept in
+     * registers for a step() or a quantum and then folded into the
+     * bucket by commit(). The eviction listeners and drainPredictor()
+     * write only other fields (uselessPrefetches, IncorrectPrefetch,
+     * Writeback and Sequence* traffic), so deferring the fold cannot
+     * reorder any observable event.
      */
-    struct MultiTenantCursor
+    struct StepCounters
     {
-        TraceSource *src = nullptr;
-        std::uint32_t bucket = 0;
-        std::uint32_t pos = 0;  //!< next unconsumed record
-        std::uint32_t fill = 0; //!< valid records in the buffer
+        std::uint64_t accesses = 0;
+        std::uint64_t instructions = 0;
+        std::uint64_t l1Misses = 0;
+        std::uint64_t l2Misses = 0;
+        std::uint64_t correct = 0;
+        std::uint64_t early = 0;
+        std::uint64_t baseBytes = 0; //!< BaseData traffic
     };
-    /** runSchedule's baseline kernel (see runBaselineLoop). */
+
+    /**
+     * Fold @p n into bucket @p bucket. By value, so a kernel's
+     * counters never have their address taken and stay in registers.
+     */
+    void commit(std::uint32_t bucket, StepCounters n);
+
+    /**
+     * The full per-reference event sequence, shared by step()
+     * (runtime associativity, PolicyAuto) and runKernel()'s full body
+     * (static associativity and policy from dispatchHierarchyKernel),
+     * so the two cannot diverge.
+     */
     template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
               typename Policy>
-    std::uint64_t
-    runScheduleBaselineLoop(std::span<const ScheduleQuantum> schedule);
-    /** runSchedule's predictor kernel (see runPredictedLoop). */
+    void stepImpl(const MemRef &ref, StepCounters &n);
+
+    /**
+     * The engine's one pull loop, over a quantum schedule. Its body is
+     * stepImpl(), or with @p Trimmed the predictor-less body that only
+     * counts hits and misses, with the caches' counters in
+     * BaselineCursors for the whole schedule. @p select_tenants tells
+     * the predictor each quantum's tenant.
+     */
     template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-              typename Policy>
-    std::uint64_t
-    runSchedulePredictedLoop(std::span<const ScheduleQuantum> schedule);
+              typename Policy, bool Trimmed>
+    std::uint64_t runKernel(std::span<const TenantSlot> tenants,
+                            std::span<const ScheduleQuantum> schedule,
+                            bool select_tenants);
+
+    /** Pick runKernel()'s body and instantiation; audit afterwards. */
+    std::uint64_t runQuanta(std::span<const TenantSlot> tenants,
+                            std::span<const ScheduleQuantum> schedule,
+                            bool select_tenants);
 
     HierarchyConfig hierConfig_;
     CacheHierarchy hier_;
@@ -298,16 +296,8 @@ class TraceEngine : public CacheListener
     std::vector<CoverageStats> buckets_;
     std::uint32_t current_ = 0;
 
-    /**
-     * Classification state that used to live here in hash tables
-     * (earlyMarked_, fetchedOffChip_) now rides on the cache lines
-     * themselves as LineMeta* bits plus per-set eviction marks — see
-     * cache/cache.hh. The engine only keeps reusable buffers.
-     */
-    /** Pull buffer shared by run() and the runSchedule kernels. */
+    /** Pull buffer shared by every tenant of runKernel(). */
     std::vector<MemRef> batch_;
-    /** runSchedule tenant cursors (rebuilt per call). */
-    std::vector<MultiTenantCursor> cursors_;
     std::vector<PrefetchRequest> reqBuf_; //!< predictor drain buffer
     std::vector<PrefetchFeedback> fbBuf_; //!< feedback batch buffer
     /** Listener adapter for L2 (classifies GHB-style L2 prefetches). */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the simulation engines: trace-driven coverage engine,
- * cycle timing engine, multi-programming and sampling.
+ * cycle timing engine and multi-programming.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include "core/ltcords.hh"
 #include "sim/experiment.hh"
 #include "sim/multiprog.hh"
-#include "sim/sampling.hh"
 #include "sim/timing_engine.hh"
 #include "sim/trace_engine.hh"
 #include "trace/primitives.hh"
@@ -297,60 +296,6 @@ TEST(MultiProgDeathTest, QuantumMismatch)
     apps.push_back(scanSource(64));
     EXPECT_DEATH(runMultiProg(cfg, nullptr, std::move(apps)),
                  "one entry per app");
-}
-
-//
-// Sampling
-//
-
-TEST(SamplingTest, CollectsRequestedSamples)
-{
-    TimingConfig cfg;
-    TimingSim sim(cfg, nullptr);
-    auto src = scanSource(1024, 2, 3);
-    SamplingConfig sc;
-    sc.skipRefs = 1000;
-    sc.warmupRefs = 500;
-    sc.measureRefs = 500;
-    sc.maxSamples = 5;
-    auto result = runSampled(sim, *src, sc);
-    EXPECT_EQ(result.samples, 5u);
-    EXPECT_GT(result.meanIpc, 0.0);
-    EXPECT_GT(result.instructions, 0u);
-}
-
-TEST(SamplingTest, StopsAtStreamEnd)
-{
-    TimingConfig cfg;
-    TimingSim sim(cfg, nullptr);
-    auto inner = scanSource(1024);
-    LimitSource src(std::move(inner), 3000);
-    SamplingConfig sc;
-    sc.skipRefs = 500;
-    sc.warmupRefs = 500;
-    sc.measureRefs = 500;
-    sc.maxSamples = 100;
-    auto result = runSampled(sim, src, sc);
-    EXPECT_LE(result.samples, 2u);
-}
-
-TEST(SamplingTest, SteadyWorkloadHasTightCi)
-{
-    TimingConfig cfg;
-    TimingSim sim(cfg, nullptr);
-    auto src = scanSource(4096, 2, 3);
-    SamplingConfig sc;
-    sc.skipRefs = 2000;
-    sc.warmupRefs = 1000;
-    sc.measureRefs = 2000;
-    sc.maxSamples = 8;
-    auto result = runSampled(sim, *src, sc);
-    ASSERT_EQ(result.samples, 8u);
-    // A periodic workload: the 95% CI should be moderate; window
-    // boundaries do not align with sweep boundaries, so some
-    // variance remains (the paper targets +-3% at much larger
-    // sample sizes).
-    EXPECT_LT(result.ci95Frac, 0.3);
 }
 
 //

@@ -292,48 +292,6 @@ TEST(MultiProgEquivalence, SharedModeMatchesTenantObliviousLoop)
     }
 }
 
-TEST(MultiProgEquivalence, RunMultiProgScalarKnobMatches)
-{
-    // The end-to-end harness: runMultiProg with scalarQuantums on and
-    // off must agree on every per-app stat including opportunity,
-    // with and without churn.
-    for (const std::uint64_t churn : {std::uint64_t{0},
-                                      std::uint64_t{31}}) {
-        SCOPED_TRACE("churn seed " + std::to_string(churn));
-        MultiProgConfig cfg;
-        cfg.quantumRefs = {900, 700, 800};
-        cfg.switches = 24;
-        cfg.churnSeed = churn;
-
-        auto run_once = [&](bool scalar) {
-            MultiProgConfig c = cfg;
-            c.scalarQuantums = scalar;
-            auto pred = makePredictor("lt-cords", c.hier);
-            std::vector<std::unique_ptr<TraceSource>> apps;
-            PointerChaseParams p;
-            p.nodes = 700;
-            p.seed = 3;
-            apps.push_back(std::make_unique<PointerChaseSource>(p));
-            p.nodes = 500;
-            p.seed = 4;
-            apps.push_back(std::make_unique<PointerChaseSource>(p));
-            p.nodes = 900;
-            p.seed = 5;
-            apps.push_back(std::make_unique<PointerChaseSource>(p));
-            return runMultiProg(c, pred.get(), std::move(apps));
-        };
-
-        const auto batched = run_once(false);
-        const auto scalar = run_once(true);
-        ASSERT_EQ(batched.size(), scalar.size());
-        for (std::size_t i = 0; i < batched.size(); i++) {
-            SCOPED_TRACE("app " + std::to_string(i));
-            expectSameCoverage(batched[i], scalar[i]);
-            EXPECT_EQ(batched[i].opportunity, scalar[i].opportunity);
-        }
-    }
-}
-
 TEST(MultiProgEquivalence, ScheduleGeneratorIsDeterministic)
 {
     MultiProgConfig cfg;
