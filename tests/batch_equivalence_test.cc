@@ -381,7 +381,7 @@ checkTraceEngine(const std::string &pred_name,
 
 TEST(BatchEquivalence, TraceEngineBaselineKernel)
 {
-    // pred == nullptr exercises the trimmed runBaseline kernel.
+    // pred == nullptr exercises the trimmed body of runKernel.
     checkTraceEngine("none");
 }
 
