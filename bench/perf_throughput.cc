@@ -79,10 +79,12 @@ perfReps()
  * One multi-tenant throughput cell: the Fig. 11 scheduling regime
  * (n tenants, ~4 rounds each, so quanta shrink as tenants multiply)
  * timed two ways over the identical static round-robin schedule —
- * one TraceEngine::runSchedule call ("refs_per_sec") and a loop that
- * re-enters run() per quantum ("scalar_refs_per_sec", the loop below).
- * The ratio is the cost of re-entering the kernel per quantum; at
- * 1024 tenants each quantum is only a few hundred references.
+ * one TraceEngine::runSchedule call ("refs_per_sec") and one run()
+ * call per quantum ("scalar_refs_per_sec", the loop below). Both run
+ * the same kernel, so the ratio ("speedup") is the per-call overhead
+ * of entering it once per quantum; at 1024 tenants each quantum is
+ * only a few hundred references. The JSON keys keep their historical
+ * names so exports stay comparable with the committed baseline.
  */
 void
 runMultiProgCell(std::uint32_t n, RunResult &r)
@@ -102,8 +104,8 @@ runMultiProgCell(std::uint32_t n, RunResult &r)
     const auto schedule = buildMultiProgSchedule(cfg);
 
     std::uint64_t done = 0;
-    double best_batched = 0.0;
-    double best_scalar = 0.0;
+    double best_one_call = 0.0;
+    double best_per_quantum = 0.0;
     {
         // Untimed warmup: touch every tenant's generator state once
         // so neither timed path pays the first-touch cost of the
@@ -131,33 +133,34 @@ runMultiProgCell(std::uint32_t n, RunResult &r)
             const double secs =
                 seconds(t0, std::chrono::steady_clock::now());
             if (secs > 0.0)
-                best_batched = std::max(
-                    best_batched, static_cast<double>(done) / secs);
+                best_one_call = std::max(
+                    best_one_call, static_cast<double>(done) / secs);
         }
         {
             for (auto &app : apps)
                 app->reset();
             TraceEngine engine(paperHierarchy(), nullptr, n);
-            std::uint64_t scalar_done = 0;
+            std::uint64_t per_quantum_done = 0;
             const auto t0 = std::chrono::steady_clock::now();
             for (const TraceEngine::ScheduleQuantum &q : schedule) {
                 engine.selectBucket(q.tenant);
-                scalar_done += engine.run(*apps[q.tenant], q.refs);
+                per_quantum_done += engine.run(*apps[q.tenant], q.refs);
             }
             const double secs =
                 seconds(t0, std::chrono::steady_clock::now());
             if (secs > 0.0)
-                best_scalar = std::max(
-                    best_scalar,
-                    static_cast<double>(scalar_done) / secs);
+                best_per_quantum = std::max(
+                    best_per_quantum,
+                    static_cast<double>(per_quantum_done) / secs);
         }
     }
 
     r.set("refs", static_cast<double>(done));
-    r.set("refs_per_sec", best_batched);
-    r.set("scalar_refs_per_sec", best_scalar);
-    r.set("speedup",
-          best_scalar > 0.0 ? best_batched / best_scalar : 0.0);
+    r.set("refs_per_sec", best_one_call);
+    r.set("scalar_refs_per_sec", best_per_quantum);
+    r.set("speedup", best_per_quantum > 0.0
+                         ? best_one_call / best_per_quantum
+                         : 0.0);
 }
 
 } // namespace
@@ -246,8 +249,8 @@ main(int argc, char **argv)
     }
     sink.table(table);
 
-    // Multi-tenant engine cells: the batched schedule loop vs the
-    // scalar per-quantum reference path, at 2 / 64 / 1024 tenants.
+    // Multi-tenant engine cells: one runSchedule call vs one run()
+    // call per quantum (the same kernel), at 2 / 64 / 1024 tenants.
     const std::vector<std::uint32_t> tenant_counts = {2, 64, 1024};
     std::vector<RunCell> mp_cells;
     for (std::uint32_t n : tenant_counts) {
@@ -264,11 +267,11 @@ main(int argc, char **argv)
             runMultiProgCell(tenant_counts[cell.index], r);
         });
 
-    Table mp_table("Multi-tenant engine throughput (Mrefs/s;"
-                   " batched runSchedule vs scalar per-quantum)");
+    Table mp_table("Multi-tenant engine throughput (Mrefs/s; one"
+                   " runSchedule call vs one run() call per quantum)");
     mp_table.setHeader(
-        {"tenants", "batched", "scalar", "speedup"});
-    double speedup64 = 0.0;
+        {"tenants", "one call", "per quantum", "call overhead"});
+    double ratio64 = 0.0;
     for (const auto &r : mp_results) {
         mp_table.addRow(
             {r.cell.config.substr(1),
@@ -276,14 +279,14 @@ main(int argc, char **argv)
              Table::num(r.get("scalar_refs_per_sec") / 1e6, 2),
              Table::num(r.get("speedup"), 2) + "x"});
         if (r.cell.config == "t64")
-            speedup64 = r.get("speedup");
+            ratio64 = r.get("speedup");
     }
     sink.table(mp_table);
     std::string mp_note =
-        "multiprog at 64 tenants: batched schedule loop is ";
-    mp_note += Table::num(speedup64, 2);
-    mp_note += "x the scalar per-quantum path on the identical "
-               "interleaving";
+        "multiprog at 64 tenants: one runSchedule call runs ";
+    mp_note += Table::num(ratio64, 2);
+    mp_note += "x as fast as one run() call per quantum (same kernel; "
+               "the gap is per-call overhead)";
     sink.note(mp_note);
     sink.add(std::move(mp_results));
 

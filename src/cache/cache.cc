@@ -16,7 +16,6 @@ Cache::Cache(const CacheConfig &config) : config_(config)
     setMask_ = config_.numSets() - 1;
     tagFlags_.resize(config_.numLines());
     stamps_.resize(config_.numLines());
-    evictMarks_.resize(config_.numSets());
     // Weakly-reused initial prediction, per the SHiP paper; the other
     // policies never touch the table, so it stays unallocated.
     if (config_.policy == ReplPolicy::SHiP)
@@ -76,9 +75,7 @@ Cache::invalidate(Addr addr)
 void
 Cache::flush()
 {
-    // Line state (including engine metadata) dies with the contents;
-    // eviction marks describe non-resident blocks and survive, as
-    // the engines' side tables always did.
+    // Line state (including engine metadata) dies with the contents.
     std::fill(tagFlags_.begin(), tagFlags_.end(), 0);
     std::fill(stamps_.begin(), stamps_.end(), 0);
 }
@@ -106,31 +103,6 @@ Cache::takeMeta(Addr addr)
 }
 
 void
-Cache::markEvicted(Addr addr)
-{
-    const Addr block = blockAlign(addr);
-    std::vector<Addr> &bucket = evictMarks_[setIndex(block)];
-    for (Addr marked : bucket) {
-        if (marked == block)
-            return;
-    }
-    bucket.push_back(block);
-}
-
-bool
-Cache::clearEvictedMarkSlow(std::vector<Addr> &bucket, Addr block)
-{
-    for (std::size_t i = 0; i < bucket.size(); i++) {
-        if (bucket[i] == block) {
-            bucket[i] = bucket.back();
-            bucket.pop_back();
-            return true;
-        }
-    }
-    return false;
-}
-
-void
 Cache::auditInvariants() const
 {
     const std::size_t lines = config_.numLines();
@@ -140,9 +112,6 @@ Cache::auditInvariants() const
     LTC_CHECK(stamps_.size() == lines,
               "stamp array holds ", stamps_.size(), " words for ",
               lines, " lines");
-    LTC_CHECK(evictMarks_.size() == config_.numSets(),
-              "eviction-mark buckets: ", evictMarks_.size(),
-              " for ", config_.numSets(), " sets");
     LTC_CHECK(misses_ <= accesses_,
               misses_, " misses out of ", accesses_, " accesses");
     LTC_CHECK(evictions_ <= misses_ + prefetchFills_,
@@ -224,24 +193,6 @@ Cache::auditInvariants() const
                               "set ", set, ": block resident in ways ",
                               w, " and ", w2);
                 }
-            }
-        }
-    }
-
-    for (std::uint32_t set = 0; set < config_.numSets(); set++) {
-        const std::vector<Addr> &bucket = evictMarks_[set];
-        for (std::size_t i = 0; i < bucket.size(); i++) {
-            const Addr block = bucket[i];
-            LTC_CHECK(blockAlign(block) == block,
-                      "unaligned eviction mark ", block);
-            LTC_CHECK(setIndex(block) == set, "eviction mark ", block,
-                      " filed under set ", set, ", maps to ",
-                      setIndex(block));
-            LTC_CHECK(findIndex(block) == noWay, "eviction-marked "
-                      "block ", block, " is resident");
-            for (std::size_t j = i + 1; j < bucket.size(); j++) {
-                LTC_CHECK(bucket[j] != block,
-                          "duplicate eviction mark ", block);
             }
         }
     }

@@ -189,9 +189,15 @@ class Cache
      *
      * @tparam Policy PolicyAuto or the policy matching
      *         config().policy, as for access().
+     *
+     * Always inlined: this is the whole per-reference body of the
+     * engines' trimmed kernels, and under GCC's translation-unit
+     * inline budget whether a kernel calls it out of line would
+     * change with unrelated code in the same file.
      */
     template <std::uint32_t StaticAssoc = 0, typename Policy = PolicyAuto>
-    bool accessBaseline(Addr addr, MemOp op, BaselineCursor &cur);
+    [[gnu::always_inline]] bool accessBaseline(Addr addr, MemOp op,
+                                               BaselineCursor &cur);
 
     /**
      * Prefetch fill that replaces @p predicted_victim if that block is
@@ -262,34 +268,6 @@ class Cache
      */
     std::uint8_t takeMeta(Addr addr);
 
-    /**
-     * Record an engine-owned mark for @p addr, a block that was just
-     * evicted from this cache (the trace engine's "early eviction"
-     * candidates). Marked blocks are by definition NOT resident, so
-     * the mark cannot ride on a line; it lives in a per-set side list
-     * instead, which is empty in predictor-less runs and a handful of
-     * entries otherwise — checking it costs one indexed load, not a
-     * hash probe. Inserting an already-marked block is a no-op.
-     */
-    void markEvicted(Addr addr);
-
-    /**
-     * Remove the eviction mark for @p addr if present; returns
-     * whether it was. Engines call this whenever the block becomes
-     * resident again (demand miss or prefetch fill). Inline: this
-     * sits on the engines' per-miss path, and the common no-marks
-     * case is a single indexed load.
-     */
-    bool
-    clearEvictedMark(Addr addr)
-    {
-        const Addr block = blockAlign(addr);
-        std::vector<Addr> &bucket = evictMarks_[setIndex(block)];
-        if (bucket.empty())
-            return false;
-        return clearEvictedMarkSlow(bucket, block);
-    }
-
     void setListener(CacheListener *listener) { listener_ = listener; }
 
     /**
@@ -297,12 +275,10 @@ class Cache
      * invariant of the packed-tag SoA layout: invalid lines are
      * all-zero, valid tag words map back to their own set, no block
      * is resident twice in a set, replacement stamps never run ahead
-     * of the global stamp counter, eviction-mark buckets hold only
-     * aligned, non-resident, non-duplicate blocks of their own set,
-     * and the counters are mutually consistent. Cold path: called at
-     * engine batch boundaries when auditing is enabled (see
-     * util/check.hh) and directly by the property/death-test suites.
-     * Panics on the first violation.
+     * of the global stamp counter, and the counters are mutually
+     * consistent. Cold path: called at engine batch boundaries when
+     * auditing is enabled (see util/check.hh) and directly by the
+     * property/death-test suites. Panics on the first violation.
      */
     void auditInvariants() const;
 
@@ -390,19 +366,12 @@ class Cache
     CacheOutcome insert(std::uint64_t tag, std::uint32_t set,
                         std::uint32_t way, bool by_prefetch,
                         bool mark_prefetched, bool dirty);
-    bool clearEvictedMarkSlow(std::vector<Addr> &bucket, Addr block);
 
     CacheConfig config_;
     unsigned lineBits_;
     std::uint64_t setMask_;
     std::vector<std::uint64_t> tagFlags_; //!< sets x ways, row-major
     std::vector<std::uint64_t> stamps_;   //!< parallel to tagFlags_
-    /**
-     * Per-set eviction marks (markEvicted()). Kept sorted by nothing
-     * — membership only; buckets stay allocated across clears so the
-     * steady state is allocation-free.
-     */
-    std::vector<std::vector<Addr>> evictMarks_;
     std::uint64_t stamp_ = 0;
     Rng rng_{12345};
     /** Table state for the policies that need it (DRRIP, SHiP). */

@@ -183,6 +183,22 @@ class CacheHierarchy
     }
 
     /**
+     * Whether a run can do nothing but count hits and misses, so an
+     * engine may take its trimmed kernel body: no predictor
+     * (@p has_predictor false), no perfect L1, no writeback charges
+     * (the trimmed body bypasses the eviction listeners) and no
+     * prefetch state in either cache (a caller may inject fills by
+     * hand).
+     */
+    bool
+    baselineOnly(bool has_predictor) const
+    {
+        return !has_predictor && !config_.perfectL1 &&
+            !config_.modelWritebacks && l1d_.prefetchFills() == 0 &&
+            l2_.prefetchFills() == 0;
+    }
+
+    /**
      * Prefetch @p addr into L1D replacing @p predicted_victim, and
      * install into L2 on the way.
      */

@@ -543,15 +543,9 @@ TimingSim::run(TraceSource &src, std::uint64_t refs)
     if (batch_.size() < timingBatchRefs)
         batch_.resize(timingBatchRefs);
 
-    // The trimmed body only when nothing it skips can happen: no
-    // predictor (so the in-flight table and request queue stay
-    // empty), no perfect L1, no writeback charges (it bypasses the
-    // eviction listeners) and no prefetch state in either cache (a
-    // caller may inject fills by hand).
-    const bool trimmed = pred_ == nullptr && !config_.hier.perfectL1 &&
-        !config_.hier.modelWritebacks &&
-        hier_.l1d().prefetchFills() == 0 &&
-        hier_.l2().prefetchFills() == 0;
+    // Without a predictor the in-flight table and request queue stay
+    // empty, so the hierarchy alone decides.
+    const bool trimmed = hier_.baselineOnly(pred_ != nullptr);
     const std::uint64_t done = dispatchHierarchyKernel(
         hier_.l1d().config(), hier_.l2().config(),
         [&](auto a1, auto a2, auto pol) {

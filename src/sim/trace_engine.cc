@@ -145,7 +145,7 @@ TraceEngine::onEviction(Addr victim_addr, Addr incoming_addr,
     if (by_prefetch) {
         // A live block evicted by a prefetch fill: if it misses again
         // later, that miss is a premature ("early") eviction.
-        hier_.l1d().markEvicted(victim_addr);
+        evictMarks_.insert(hier_.l1d().blockAlign(victim_addr));
     }
 }
 
@@ -191,7 +191,7 @@ TraceEngine::issuePrefetch(const PrefetchRequest &req)
                             LineMetaFetched |
                                 (out.l2Hit ? 0 : LineMetaOffChip));
         // The prefetch restored the block in time.
-        hier_.l1d().clearEvictedMark(block);
+        evictMarks_.erase(block);
         if (out.l1Evicted && pred_)
             pred_->onPrefetchEviction(out.l1VictimAddr, req.target);
     } else {
@@ -268,7 +268,7 @@ TraceEngine::stepImpl(const MemRef &ref, StepCounters &n)
         }
     } else {
         n.l1Misses++;
-        if (hier_.l1d().clearEvictedMark(block))
+        if (evictMarks_.erase(block))
             n.early++;
         if (out.level == HitLevel::Memory) {
             n.l2Misses++;
@@ -378,15 +378,9 @@ TraceEngine::runQuanta(std::span<const TenantSlot> tenants,
     if (batch_.size() < engineBatchRefs)
         batch_.resize(engineBatchRefs);
 
-    // The trimmed body only when nothing it skips can happen: no
-    // predictor, no perfect L1, no writeback charges (it bypasses the
-    // eviction listeners) and no prefetch state in either cache (a
-    // caller may inject fills by hand). Everything else, predictor or
-    // not, takes the full body.
-    const bool trimmed = pred_ == nullptr && !hierConfig_.perfectL1 &&
-        !hierConfig_.modelWritebacks &&
-        hier_.l1d().prefetchFills() == 0 &&
-        hier_.l2().prefetchFills() == 0;
+    // Everything the trimmed body cannot model, predictor or not,
+    // takes the full body.
+    const bool trimmed = hier_.baselineOnly(pred_ != nullptr);
     const std::uint64_t done = dispatchHierarchyKernel(
         hier_.l1d().config(), hier_.l2().config(),
         [&](auto a1, auto a2, auto pol) {
@@ -430,6 +424,14 @@ TraceEngine::auditInvariants() const
 {
     hier_.l1d().auditInvariants();
     hier_.l2().auditInvariants();
+    evictMarks_.auditInvariants();
+    const Cache &l1 = hier_.l1d();
+    evictMarks_.forEach([&l1](Addr block, NoValue) {
+        LTC_CHECK(l1.blockAlign(block) == block,
+                  "unaligned eviction mark ", block);
+        LTC_CHECK(!l1.probe(block), "eviction-marked block ", block,
+                  " is resident in L1D");
+    });
     if (pred_)
         pred_->auditInvariants();
 }

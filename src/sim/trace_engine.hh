@@ -36,6 +36,7 @@
 #include "pred/prefetcher.hh"
 #include "trace/trace.hh"
 #include "util/check.hh"
+#include "util/flat_map.hh"
 #include "util/types.hh"
 
 namespace ltc
@@ -190,10 +191,12 @@ class TraceEngine : public CacheListener
                     std::uint8_t victim_meta) override;
 
     /**
-     * Audit both caches and the attached predictor (see
-     * Cache::auditInvariants). run() calls this automatically after
-     * every batch of work when auditing is enabled — debug builds,
-     * or LTC_AUDIT=1 in the environment (util/check.hh).
+     * Audit both caches, the eviction marks (a sound AddrMap of
+     * block-aligned addresses, none resident in L1D) and the attached
+     * predictor (see Cache::auditInvariants). run() calls this
+     * automatically after every batch of work when auditing is
+     * enabled — debug builds, or LTC_AUDIT=1 in the environment
+     * (util/check.hh).
      */
     void auditInvariants() const;
 
@@ -300,9 +303,22 @@ class TraceEngine : public CacheListener
     std::vector<MemRef> batch_;
     std::vector<PrefetchRequest> reqBuf_; //!< predictor drain buffer
     std::vector<PrefetchFeedback> fbBuf_; //!< feedback batch buffer
+    /**
+     * Blocks a prefetch fill evicted from L1D while still live: a
+     * later demand miss on one is an "early" eviction. Marked blocks
+     * are by definition not resident, so the marks cannot ride on a
+     * cache line. onEviction() inserts, a prefetch fill or the demand
+     * miss that counts the early miss erases; blocks never touched
+     * again keep their marks (hundreds of thousands on a long run),
+     * so each touch must be one hash probe, not a scan.
+     */
+    AddrMap<NoValue> evictMarks_;
     /** Listener adapter for L2 (classifies GHB-style L2 prefetches). */
     class L2Listener;
     std::unique_ptr<L2Listener> l2Listener_;
+
+    /** Death-test hook: lets the invariant suite corrupt state. */
+    friend struct TestPeer;
 };
 
 /**

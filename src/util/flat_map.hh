@@ -15,7 +15,9 @@
  * Keys are `Addr` with `invalidAddr` reserved as the empty-slot
  * sentinel (block-aligned addresses can never equal it). A probe of an
  * empty table is a single masked load — cheap by construction, so
- * callers need no `empty()` fast-path guards.
+ * callers need no `empty()` fast-path guards. `AddrMap<NoValue>` is an
+ * address set: the empty value takes no room, so its slots are the
+ * 8-byte keys alone (the trace engine's eviction marks).
  */
 
 #ifndef LTC_UTIL_FLAT_MAP_HH
@@ -30,6 +32,11 @@
 
 namespace ltc
 {
+
+/** Value type of an AddrMap used as a set (see the file comment). */
+struct NoValue
+{
+};
 
 /**
  * Open-addressed Addr -> V map (see the file comment).
@@ -72,7 +79,7 @@ class AddrMap
 
     /** Insert @p key -> @p value, overwriting any existing mapping. */
     void
-    insert(Addr key, const V &value)
+    insert(Addr key, const V &value = V{})
     {
         std::size_t i = slotOf(key);
         while (true) {
@@ -115,6 +122,9 @@ class AddrMap
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+
+    /** Bytes per slot: the key, plus the value unless it is empty. */
+    static constexpr std::size_t slotBytes() { return sizeof(Slot); }
 
     /** Drop every entry (capacity is kept). */
     void
@@ -196,7 +206,7 @@ class AddrMap
     struct Slot
     {
         Addr key = invalidAddr;
-        V value{};
+        [[no_unique_address]] V value{};
     };
 
     static constexpr std::size_t kMinCapacity = 16;

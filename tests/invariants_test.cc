@@ -9,8 +9,9 @@
  * legitimately exercised state passes every audit cleanly. The
  * corruption classes cover the silent-failure modes the packed
  * representations are exposed to: a clobbered tag word, a dropped
- * MSHR presence bit, reversed ring order, a rewound bus horizon and
- * a broken sequence-storage frame link.
+ * MSHR presence bit, reversed ring order, a rewound bus horizon, a
+ * broken sequence-storage frame link and an eviction mark on a block
+ * that is still resident.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +34,7 @@
 #include "sim/timing_engine.hh"
 #include "sim/trace_engine.hh"
 #include "trace/primitives.hh"
+#include "trace/workloads.hh"
 #include "util/check.hh"
 
 namespace ltc
@@ -87,6 +89,29 @@ struct TestPeer
             }
         }
         FAIL() << "no valid line to stamp";
+    }
+
+    // ----------------------------------------------- TraceEngine
+
+    /** Live eviction marks (blocks a prefetch evicted while live). */
+    static std::size_t
+    evictionMarks(const TraceEngine &e)
+    {
+        return e.evictMarks_.size();
+    }
+
+    /** Mark a block that is resident in L1D as evicted. */
+    static void
+    markResidentBlock(TraceEngine &e)
+    {
+        const Cache &l1 = e.hier_.l1d();
+        for (std::uint64_t tf : l1.tagFlags_) {
+            if (tf & lineValid) {
+                e.evictMarks_.insert(l1.lineAddr(tf));
+                return;
+            }
+        }
+        FAIL() << "no resident L1D block to mark";
     }
 
     // -------------------------------------------------- MshrFile
@@ -207,14 +232,10 @@ tinyCacheConfig()
 void
 exerciseCache(Cache &c)
 {
-    // Touch more blocks than lines so hits, misses, evictions and
-    // eviction marks all occur.
-    for (Addr a = 0; a < 40 * 64; a += 64) {
-        const CacheOutcome out =
-            c.access(a, (a / 64) % 3 ? MemOp::Load : MemOp::Store);
-        if (out.evicted)
-            c.markEvicted(out.victimAddr);
-    }
+    // Touch more blocks than lines so hits, misses and evictions all
+    // occur.
+    for (Addr a = 0; a < 40 * 64; a += 64)
+        c.access(a, (a / 64) % 3 ? MemOp::Load : MemOp::Store);
     c.fill(0x100000);
     c.fillReplacing(0x200000, 0x100000);
 }
@@ -329,6 +350,18 @@ TEST(InvariantAudit, TraceEngineAuditPassesAfterRun)
     auto pred = makePredictor("lt-cords", paperHierarchy());
     TraceEngine engine(paperHierarchy(), pred.get());
     engine.run(src, 50'000);
+    engine.auditInvariants();
+}
+
+TEST(InvariantAudit, TraceEngineAuditPassesWithEvictionMarks)
+{
+    // Past training, lt-cords prefetch fills on em3d evict live
+    // blocks, and some of them are still marked when the run ends.
+    auto src = makeWorkload("em3d", 1);
+    auto pred = makePredictor("lt-cords", paperHierarchy());
+    TraceEngine engine(paperHierarchy(), pred.get());
+    engine.run(*src, 300'000);
+    EXPECT_GT(TestPeer::evictionMarks(engine), 0u);
     engine.auditInvariants();
 }
 
@@ -473,6 +506,20 @@ TEST_F(StorageAuditDeathTest, OverfilledFragmentIsCaught)
     exerciseStorage(s);
     TestPeer::overfillFragment(s);
     EXPECT_DEATH(s.auditInvariants(), "invariant");
+}
+
+class TraceEngineAuditDeathTest : public CacheAuditDeathTest
+{
+};
+
+TEST_F(TraceEngineAuditDeathTest, EvictionMarkOnResidentBlockIsCaught)
+{
+    auto src = makeWorkload("swim", 1);
+    auto pred = makePredictor("lt-cords", paperHierarchy());
+    TraceEngine engine(paperHierarchy(), pred.get());
+    engine.run(*src, 50'000);
+    TestPeer::markResidentBlock(engine);
+    EXPECT_DEATH(engine.auditInvariants(), "invariant.*resident in L1D");
 }
 
 } // namespace

@@ -11,7 +11,9 @@
  *  - prefetching never changes the demand reference stream's
  *    functional footprint (same blocks touched),
  *  - every predictor obeys the drain/feedback protocol under fuzzed
- *    streams.
+ *    streams,
+ *  - the open-addressed AddrMap agrees with std::unordered_map under
+ *    any operation sequence.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/mshr.hh"
@@ -29,6 +32,7 @@
 #include "sim/timing_engine.hh"
 #include "sim/trace_engine.hh"
 #include "trace/primitives.hh"
+#include "util/flat_map.hh"
 #include "util/random.hh"
 
 namespace ltc
@@ -486,6 +490,82 @@ TEST_P(BusProperty, PrecomputedOccupancyPathIsIdentical)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BusProperty,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+//
+// AddrMap: random operation sequences against std::unordered_map.
+//
+
+class AddrMapProperty : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+/** Assert @p map holds exactly the entries of @p oracle. */
+void
+expectSameContents(const AddrMap<std::uint64_t> &map,
+                   const std::unordered_map<Addr, std::uint64_t> &oracle)
+{
+    map.auditInvariants();
+    ASSERT_EQ(map.size(), oracle.size());
+    std::size_t visited = 0;
+    map.forEach([&](Addr k, std::uint64_t v) {
+        const auto it = oracle.find(k);
+        ASSERT_NE(it, oracle.end()) << "stray key " << k;
+        EXPECT_EQ(v, it->second) << "key " << k;
+        visited++;
+    });
+    EXPECT_EQ(visited, oracle.size());
+}
+
+TEST_P(AddrMapProperty, RandomOperationsMatchUnorderedMap)
+{
+    Rng rng(GetParam() * 977 + 3);
+    // A small key universe makes overwrites, erase hits and long
+    // probe chains common; it still outgrows the initial capacity.
+    const std::uint64_t universe = 64 + rng.below(2048);
+    AddrMap<std::uint64_t> map;
+    std::unordered_map<Addr, std::uint64_t> oracle;
+
+    for (int batch = 0; batch < 80; batch++) {
+        for (int op = 0; op < 64; op++) {
+            const Addr key = rng.below(universe) * 64;
+            const std::uint64_t roll = rng.below(100);
+            if (roll < 50) {
+                const std::uint64_t value = rng.next();
+                map.insert(key, value);
+                oracle[key] = value;
+            } else if (roll < 80) {
+                ASSERT_EQ(map.erase(key), oracle.erase(key) == 1);
+            } else {
+                const std::uint64_t *v = map.find(key);
+                const auto it = oracle.find(key);
+                ASSERT_EQ(v != nullptr, it != oracle.end());
+                if (v) {
+                    ASSERT_EQ(*v, it->second);
+                }
+            }
+        }
+        if (batch % 16 == 7) {
+            const std::uint64_t bit = std::uint64_t{1} << rng.below(8);
+            const auto drop = [bit](Addr, std::uint64_t v) {
+                return (v & bit) != 0;
+            };
+            map.eraseIf(drop);
+            std::erase_if(oracle, [&drop](const auto &e) {
+                return drop(e.first, e.second);
+            });
+        }
+        if (batch == 50) {
+            map.clear();
+            oracle.clear();
+        }
+        expectSameContents(map, oracle);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AddrMapProperty,
                          ::testing::Range<std::uint64_t>(1, 9));
 
 } // namespace

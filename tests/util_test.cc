@@ -1,15 +1,17 @@
 /**
  * @file
  * Unit tests for util: bit operations, hashing, varints, PRNG,
- * logging.
+ * logging, the open-addressed AddrMap.
  */
 
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "util/bitops.hh"
+#include "util/flat_map.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -353,6 +355,154 @@ TEST(Fnv1a32Test, MatchesReferenceVectorsAndDetectsFlips)
     const std::uint32_t h = fnv1a32(data, sizeof(data));
     data[13] ^= 0x01;
     EXPECT_NE(fnv1a32(data, sizeof(data)), h);
+}
+
+// ------------------------------------------------------------ AddrMap
+
+static_assert(AddrMap<NoValue>::slotBytes() == 8,
+              "an address set stores bare 8-byte keys");
+static_assert(AddrMap<std::uint64_t>::slotBytes() == 16);
+
+/** @p count keys that share one home slot in a fresh (16-slot) map. */
+std::vector<Addr>
+collidingKeys(std::size_t count)
+{
+    std::vector<Addr> keys;
+    for (Addr k = 0; keys.size() < count; k += 64) {
+        if ((mix64(k) & 15) == (mix64(0) & 15))
+            keys.push_back(k);
+    }
+    return keys;
+}
+
+TEST(AddrMapTest, EmptyMapFindsNothing)
+{
+    AddrMap<std::uint64_t> m;
+    EXPECT_TRUE(m.empty());
+    EXPECT_EQ(m.find(0x1000), nullptr);
+    EXPECT_FALSE(m.contains(0));
+    EXPECT_FALSE(m.erase(0x1000));
+    m.auditInvariants();
+}
+
+TEST(AddrMapTest, InsertFindAndOverwrite)
+{
+    AddrMap<std::uint64_t> m;
+    m.insert(0x40, 1);
+    m.insert(0x80, 2);
+    ASSERT_NE(m.find(0x40), nullptr);
+    EXPECT_EQ(*m.find(0x40), 1u);
+    EXPECT_EQ(*m.find(0x80), 2u);
+    m.insert(0x40, 7); // overwrite, not a second entry
+    EXPECT_EQ(*m.find(0x40), 7u);
+    EXPECT_EQ(m.size(), 2u);
+    *m.find(0x80) = 9; // find() hands out the stored value
+    EXPECT_EQ(*m.find(0x80), 9u);
+    m.auditInvariants();
+}
+
+TEST(AddrMapTest, EraseReportsPresence)
+{
+    AddrMap<std::uint64_t> m;
+    m.insert(0x40, 1);
+    EXPECT_TRUE(m.erase(0x40));
+    EXPECT_FALSE(m.erase(0x40));
+    EXPECT_FALSE(m.contains(0x40));
+    EXPECT_TRUE(m.empty());
+    m.auditInvariants();
+}
+
+TEST(AddrMapTest, BackwardShiftKeepsCollidingChainsReachable)
+{
+    // Eight keys on one home slot form one probe chain; erasing from
+    // its middle must pull the tail back, not strand it.
+    const std::vector<Addr> keys = collidingKeys(8);
+    AddrMap<std::uint64_t> m;
+    for (std::size_t i = 0; i < keys.size(); i++)
+        m.insert(keys[i], i);
+    m.auditInvariants();
+    for (std::size_t i = 1; i < keys.size(); i += 2)
+        EXPECT_TRUE(m.erase(keys[i]));
+    m.auditInvariants();
+    for (std::size_t i = 0; i < keys.size(); i++) {
+        if (i & 1) {
+            EXPECT_FALSE(m.contains(keys[i]));
+        } else {
+            ASSERT_NE(m.find(keys[i]), nullptr);
+            EXPECT_EQ(*m.find(keys[i]), i);
+        }
+    }
+}
+
+TEST(AddrMapTest, GrowthKeepsEveryEntry)
+{
+    AddrMap<std::uint64_t> m;
+    constexpr std::uint64_t n = 10'000;
+    for (std::uint64_t i = 0; i < n; i++)
+        m.insert(i * 64, i);
+    EXPECT_EQ(m.size(), n);
+    m.auditInvariants();
+    for (std::uint64_t i = 0; i < n; i++) {
+        ASSERT_NE(m.find(i * 64), nullptr) << i;
+        EXPECT_EQ(*m.find(i * 64), i);
+    }
+    EXPECT_FALSE(m.contains(n * 64));
+}
+
+TEST(AddrMapTest, EraseIfRemovesExactlyTheMatches)
+{
+    AddrMap<std::uint64_t> m;
+    for (std::uint64_t i = 0; i < 100; i++)
+        m.insert(i * 64, i);
+    m.eraseIf([](Addr, std::uint64_t v) { return v % 3 == 0; });
+    m.auditInvariants();
+    EXPECT_EQ(m.size(), 66u);
+    for (std::uint64_t i = 0; i < 100; i++)
+        EXPECT_EQ(m.contains(i * 64), i % 3 != 0) << i;
+}
+
+TEST(AddrMapTest, ClearEmptiesAndStaysUsable)
+{
+    AddrMap<std::uint64_t> m;
+    for (std::uint64_t i = 0; i < 50; i++)
+        m.insert(i * 64, i);
+    m.clear();
+    EXPECT_TRUE(m.empty());
+    EXPECT_FALSE(m.contains(0));
+    m.auditInvariants();
+    m.insert(0x40, 3);
+    EXPECT_EQ(*m.find(0x40), 3u);
+    EXPECT_EQ(m.size(), 1u);
+}
+
+TEST(AddrMapTest, ForEachVisitsEveryEntryOnce)
+{
+    AddrMap<std::uint64_t> m;
+    for (std::uint64_t i = 1; i <= 40; i++)
+        m.insert(i * 64, i);
+    std::set<Addr> seen;
+    std::uint64_t sum = 0;
+    m.forEach([&](Addr k, std::uint64_t v) {
+        EXPECT_TRUE(seen.insert(k).second);
+        sum += v;
+    });
+    EXPECT_EQ(seen.size(), 40u);
+    EXPECT_EQ(sum, 40u * 41u / 2);
+}
+
+TEST(AddrMapTest, AddressSetHasMembershipOnly)
+{
+    AddrMap<NoValue> set;
+    set.insert(0x40);
+    set.insert(0x40); // re-insert is a no-op
+    set.insert(0x1000);
+    EXPECT_EQ(set.size(), 2u);
+    EXPECT_TRUE(set.contains(0x40));
+    EXPECT_TRUE(set.erase(0x40));
+    EXPECT_FALSE(set.erase(0x40));
+    EXPECT_FALSE(set.contains(0x40));
+    EXPECT_TRUE(set.contains(0x1000));
+    set.auditInvariants();
 }
 
 } // namespace
